@@ -21,12 +21,12 @@
 
 use std::process::ExitCode;
 
-use bench::{write_json, Mode};
+use bench::write_json;
 use dist::{ServiceDist, SyntheticKind};
 use harness::{
     default_threads, run_matrix, JobKind, LiveParams, RateGrid, ScenarioMatrix, SweepReport,
 };
-use live::{BurnMode, LivePolicy};
+use live::{BurnMode, ClusterPlan, LivePolicy};
 use queueing::QxU;
 use serde::Serialize;
 use workloads::Workload;
@@ -82,11 +82,8 @@ fn ordering_holds(p99s: &[(String, f64)]) -> bool {
 }
 
 fn main() -> ExitCode {
-    let mode = Mode::from_args();
-    let requests = match mode {
-        Mode::Full => 4_000,
-        Mode::Quick => 1_000,
-    };
+    let quick = std::env::args().any(|a| a == "--quick");
+    let requests = if quick { 1_000 } else { 4_000 };
     println!("=== live_vs_sim: measured loopback serving vs queueing models ===");
     println!(
         "  {WORKERS} workers, exponential service, loads {LOADS:?}, {requests} requests/point\n"
@@ -126,7 +123,7 @@ fn main() -> ExitCode {
                 connections: WORKERS * 2,
                 scale: SCALE,
                 replenish_batch: 1,
-                cluster: None,
+                cluster: ClusterPlan::default(),
             },
         )
         .rates(RateGrid::Shared(LOADS.to_vec()))

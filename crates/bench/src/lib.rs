@@ -1,57 +1,28 @@
-//! # bench — the figure/table regeneration harness
+//! # bench — the measurement binaries that are not registry scenarios
 //!
-//! One binary per paper figure (run with `cargo run -p bench --release
-//! --bin figN`), plus Criterion micro-benchmarks (`cargo bench`). Every
-//! figure binary is a thin shim over the [`harness::catalog`] registry
-//! ([`cli::scenario_main`]): the experiment definition and its derive
-//! step live in the harness, so `cargo run -p bench --bin fig7` and
-//! `harness run --scenario fig7` are the same run. Both print the
-//! figure's data series in a fixed-width table and write
-//! machine-readable JSON under `target/figures/`.
+//! Every paper figure and table is a [`harness::catalog`] scenario, run
+//! as `harness run --scenario <name>` (`harness list` prints them all).
+//! This crate holds the two binaries that assert rather than plot:
 //!
-//! | binary | reproduces |
+//! | binary | what it checks |
 //! |---|---|
-//! | `fig2`  | queueing-model tail latency vs load (Fig. 2a–c) |
-//! | `fig6`  | processing-time distribution PDFs (Fig. 6a–c) |
-//! | `fig7`  | hardware queuing implementations (Fig. 7a–c) |
-//! | `fig8`  | hardware vs software 1×16 (Fig. 8) |
-//! | `fig9`  | RPCValet vs theoretical model (Fig. 9a–d) |
-//! | `table1` | simulation parameters (Table 1) |
-//! | `ablation_outstanding` | §4.3/§6.1 outstanding-per-core 1 vs 2 |
-//! | `ablation_dispatcher` | §4.3 single-dispatcher headroom (16 & 64 cores) |
-//! | `ablation_preemption` | §7 RPCValet + Shinjuku-style preemption |
-//! | `ablation_emulated` | §3.3 emulated messaging's per-flow affinity |
-//! | `ablation_sensitivity` | slots / MTU / lock cost / threshold sweeps + live knobs |
-//! | `latency_breakdown` | trace-based latency anatomy per policy |
-//! | `live_vs_sim` | measured loopback serving vs queueing models (sim-to-system check; not a registry scenario — it asserts, it doesn't plot) |
+//! | `simbench` | simulator events/sec microbenches and the `BENCH/simcore.json` gates |
+//! | `live_vs_sim` | measured loopback serving vs queueing models (sim-to-system check: single ≤ partitioned ≤ RSS on both sides) |
 //!
-//! Pass `--quick` to any figure binary for a fast low-resolution run;
-//! multi-part figures accept `--part a|b|c`.
+//! Both accept `--quick` for a fast low-resolution run.
 
-// This crate retains a handful of audited unsafe sites (see the
-// adjacent // SAFETY: comments); new ones must be explicit.
-#![deny(unsafe_op_in_unsafe_fn)]
-
-pub mod ascii;
-pub mod cli;
+// Structural pin for detlint's unsafe-hygiene sweep: this crate
+// needs no unsafe code, and the compiler now keeps it that way.
+#![forbid(unsafe_code)]
 
 use std::fs;
 use std::path::PathBuf;
 
 use serde::Serialize;
 
-pub use cli::Mode;
-
-/// Prints one latency curve as a fixed-width table (the registry's
-/// rendering — one source of truth for the byte-sensitive column
-/// layout).
-pub fn print_curve(curve: &metrics::LatencyCurve, x_label: &str, y_unit: &str, y_scale: f64) {
-    print!("{}", harness::render_curve(curve, x_label, y_unit, y_scale));
-}
-
 /// Directory where figure JSON artifacts are written — the harness's
-/// artifact directory (one source of truth; the shims and
-/// `harness run --scenario` write to the same place).
+/// artifact directory (one source of truth; `harness run --scenario`
+/// writes to the same place).
 pub fn figures_dir() -> PathBuf {
     let dir = harness::figures_dir();
     fs::create_dir_all(&dir).expect("create target/figures");
@@ -64,38 +35,4 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("figure data serializes");
     fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("  [wrote {}]", path.display());
-}
-
-/// Formats a ratio as the paper does ("1.18x higher").
-pub fn ratio(better: f64, worse: f64) -> String {
-    if worse <= 0.0 {
-        "n/a (baseline saturated)".to_owned()
-    } else {
-        format!("{:.2}x", better / worse)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use metrics::CurvePoint;
-
-    #[test]
-    fn ratio_formats() {
-        assert_eq!(ratio(2.0, 1.0), "2.00x");
-        assert_eq!(ratio(1.0, 0.0), "n/a (baseline saturated)");
-    }
-
-    #[test]
-    fn print_curve_smoke() {
-        let mut c = metrics::LatencyCurve::new("test");
-        c.push(CurvePoint {
-            offered_load: 0.5,
-            throughput_rps: 1e6,
-            mean_latency_ns: 700.0,
-            p99_latency_ns: 2_000.0,
-            completed: 100,
-        });
-        print_curve(&c, "load", "us", 1e3);
-    }
 }

@@ -6,8 +6,7 @@
 //! turns the deterministic [`SweepReport`]s into the exact artifacts the
 //! legacy figure binaries wrote (`target/figures/*.json`, byte-identical
 //! for migrated experiments). `harness run --scenario <name>` executes
-//! any entry; the `bench` figure binaries are thin shims over the same
-//! entries.
+//! any entry; it is the only way to run one.
 
 use std::fmt::Write as _;
 

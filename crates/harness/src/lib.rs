@@ -1,6 +1,6 @@
 //! # harness — parallel experiment orchestration
 //!
-//! The single entry point every figure binary goes through: expand a
+//! The single entry point every experiment goes through: expand a
 //! [`ScenarioMatrix`] (workload × policy × load point × replication) into
 //! jobs, fan the jobs out over a pull-based dispatcher + worker pool
 //! (each worker requests its next job when free, chroma-execution-engine

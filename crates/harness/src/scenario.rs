@@ -9,8 +9,7 @@
 //!
 //! This replaces the per-figure `main()` + `println!` boilerplate the
 //! `bench` binaries used to carry: experiments are declarative data
-//! handed to one engine (`harness run --scenario <name>`), and the
-//! legacy figure binaries are thin shims over the same registry entries.
+//! handed to one engine (`harness run --scenario <name>`).
 //! The catalog itself lives in [`crate::catalog`].
 
 use std::io;

@@ -8,7 +8,7 @@
 //!   (Figs. 7–8); rates are absolute requests/second.
 //! * [`JobKind::Queueing`] — a `queueing::QueueingModel` Q×U run
 //!   (Figs. 2, 9 model lines); rates are load *fractions* of capacity.
-//! * [`JobKind::Live`] — a real loopback TCP run (`live::run_loopback`):
+//! * [`JobKind::Live`] — a real loopback TCP run (`live::cluster::run_cluster`):
 //!   actual threads on actual queues; rates are load fractions. Live
 //!   jobs measure wall-clock behaviour and are therefore **exempt from
 //!   the harness's byte-identical determinism contract** — everything
@@ -70,7 +70,7 @@ pub enum JobKind {
     ServerSim,
     /// Theoretical Q×U queueing model (`queueing::QueueingModel`).
     Queueing,
-    /// Live loopback serving (`live::run_loopback`).
+    /// Live loopback serving (`live::cluster::run_cluster`).
     Live,
 }
 
@@ -164,18 +164,17 @@ pub struct LiveParams {
     /// Load-generator connections.
     pub connections: usize,
     /// Service-time multiplier (ns-scale profiles × this; see
-    /// `live::LoadgenConfig::scale`).
+    /// `live::cluster::BalancerConfig::scale`).
     pub scale: f64,
     /// Requests handed per replenish availability slot (≥ 1; only
     /// [`LivePolicy::Replenish`] batches — a sensitivity knob).
     pub replenish_batch: usize,
-    /// `Some` runs the job as a multi-node cluster behind the
-    /// client-side balancer ([`live::cluster::run_cluster`]), with the
-    /// plan's failure mode injected mid-run; `None` is the classic
-    /// single loopback server. Cluster jobs assert the zero-lost
-    /// accounting invariant and report redirect frames in
-    /// [`Measurement::flow_control_deferrals`].
-    pub cluster: Option<ClusterPlan>,
+    /// Node count and mid-run failure of the tier behind the
+    /// client-side balancer ([`live::cluster::run_cluster`]); the
+    /// default is one steady node, the classic single loopback server.
+    /// Every live job asserts the zero-lost accounting invariant and
+    /// reports redirect frames in [`Measurement::flow_control_deferrals`].
+    pub cluster: ClusterPlan,
 }
 
 impl Default for LiveParams {
@@ -187,7 +186,7 @@ impl Default for LiveParams {
             // 600 ns synthetic profiles -> 300 µs sleeps.
             scale: 500.0,
             replenish_batch: 1,
-            cluster: None,
+            cluster: ClusterPlan::default(),
         }
     }
 }
@@ -613,18 +612,40 @@ impl ExperimentSpec {
                     .trace_requests(capture as u64)
                     .series_interval((series_interval_ps > 0).then(|| {
                         std::time::Duration::from_nanos((series_interval_ps / 1_000).max(1))
-                    }));
+                    }))
+                    .cluster(params.cluster);
                 let mut label = policy.label(params.workers);
                 if matches!(policy, LivePolicy::Replenish) && params.replenish_batch > 1 {
                     label = format!("{label}-b{}", params.replenish_batch);
                 }
-                if let Some(plan) = params.cluster {
-                    return self.run_live_cluster(config, plan, label);
-                }
-                let outcome = live::run_loopback_observed(&config)
-                    .unwrap_or_else(|e| panic!("live loopback job failed: {e}"));
+                label.push_str(&params.cluster.key_suffix());
+                // The request-accounting invariant (`completed +
+                // redirected + rejected == issued`, zero lost) is
+                // asserted on every live job: losing requests — across
+                // a drain, churn, or migration, or on one steady node —
+                // is exactly the regression these jobs exist to catch.
+                let outcome = live::cluster::run_cluster(&config)
+                    .unwrap_or_else(|e| panic!("live job {label} failed: {e}"));
+                outcome
+                    .accounting
+                    .assert_balanced(&format!("live job {label}"));
                 let r = &outcome.stats;
-                let server = &outcome.server;
+                // The live analogue of the sim's peak shared-CQ depth:
+                // each node's own high-water gauge (queue depth for
+                // queue policies, posted-slot ring depth for replenish),
+                // from its `STATS` snapshot; the worst node counts.
+                let high_water = outcome
+                    .node_stats
+                    .iter()
+                    .map(|s| s.queue_high_water.max(s.ring_high_water))
+                    .max()
+                    .unwrap_or(0);
+                let server_dropped = outcome
+                    .node_stats
+                    .iter()
+                    .map(|s| s.trace_dropped)
+                    .max()
+                    .unwrap_or(0);
                 let measurement = Measurement {
                     label,
                     throughput_rps: r.throughput_rps,
@@ -635,18 +656,16 @@ impl ExperimentSpec {
                     measured: r.measured,
                     mean_service_ns: r.mean_service_ns,
                     load_balance_jain: r.load_balance_jain,
-                    flow_control_deferrals: 0,
+                    // Redirect frames: the cluster analogue of
+                    // send-slot deferrals (arrivals the tier made the
+                    // client re-route).
+                    flow_control_deferrals: outcome.redirects,
                     sim_events: 0,
                     queue_overflow_pushes: 0,
                     queue_overflow_migrations: 0,
-                    // The live analogue of the sim's peak shared-CQ depth:
-                    // the server's own high-water gauge (queue depth for
-                    // queue policies, posted-slot ring depth for
-                    // replenish), from the `STATS` snapshot.
-                    dispatcher_high_water: server.queue_high_water.max(server.ring_high_water)
-                        as usize,
+                    dispatcher_high_water: high_water as usize,
                     preemptions: 0,
-                    trace_dropped: outcome.dropped.max(server.trace_dropped),
+                    trace_dropped: outcome.dropped.max(server_dropped),
                     breakdown: None,
                 };
                 let mut events = outcome.events;
@@ -662,59 +681,6 @@ impl ExperimentSpec {
                     series: outcome.stats.series,
                 }
             }
-        }
-    }
-
-    /// Runs one live *cluster* job: `plan.nodes` in-process servers
-    /// behind the client-side balancer, with the plan's failure mode
-    /// injected mid-run ([`live::cluster::run_cluster`]).
-    ///
-    /// The request-accounting invariant (`completed + redirected +
-    /// rejected == issued`, zero lost) is asserted here — a violation
-    /// panics the job and fails the scenario, because losing requests
-    /// across a drain/churn/migration is exactly the regression this
-    /// job exists to catch. Redirect frames land in
-    /// [`Measurement::flow_control_deferrals`] (the cluster analogue of
-    /// send-slot deferrals: arrivals the tier made the client re-route),
-    /// and `dispatcher_high_water` is the worst per-node high water.
-    fn run_live_cluster(&self, config: LiveRunConfig, plan: ClusterPlan, label: String) -> ObservedRun {
-        let config = config.cluster(plan);
-        let outcome = live::cluster::run_cluster(&config)
-            .unwrap_or_else(|e| panic!("live cluster job failed: {e}"));
-        outcome
-            .accounting
-            .assert_balanced(&format!("live cluster job {label}"));
-        let r = &outcome.stats;
-        let high_water = outcome
-            .node_stats
-            .iter()
-            .map(|s| s.queue_high_water.max(s.ring_high_water))
-            .max()
-            .unwrap_or(0);
-        let measurement = Measurement {
-            label: format!("{label}-c{}{}", plan.nodes, plan.failure.key_suffix()),
-            throughput_rps: r.throughput_rps,
-            mean_latency_ns: r.mean_latency_ns,
-            p50_latency_ns: r.p50_latency_ns,
-            p99_latency_ns: r.p99_latency_ns,
-            p99_critical_ns: r.p99_latency_ns,
-            measured: r.measured,
-            mean_service_ns: r.mean_service_ns,
-            load_balance_jain: r.load_balance_jain,
-            flow_control_deferrals: outcome.redirects,
-            sim_events: 0,
-            queue_overflow_pushes: 0,
-            queue_overflow_migrations: 0,
-            dispatcher_high_water: high_water as usize,
-            preemptions: 0,
-            trace_dropped: 0,
-            breakdown: None,
-        };
-        ObservedRun {
-            measurement,
-            events: Vec::new(),
-            dropped: 0,
-            series: r.series.clone(),
         }
     }
 
@@ -785,12 +751,9 @@ pub fn policy_spec_key(policy: &PolicySpec) -> String {
             if matches!(p, LivePolicy::Replenish) && params.replenish_batch > 1 {
                 key.push_str(&format!("-b{}", params.replenish_batch));
             }
-            if let Some(plan) = params.cluster {
-                // Node count + failure mode; single-node keys (the
-                // pinned v2 set) are untouched because `cluster` is
-                // `None` for them.
-                key.push_str(&format!("-c{}{}", plan.nodes, plan.failure.key_suffix()));
-            }
+            // Node count + failure mode; single-node keys (the pinned v2
+            // set) are untouched because the default plan has no suffix.
+            key.push_str(&params.cluster.key_suffix());
             key
         }
     }
@@ -1077,9 +1040,9 @@ impl ScenarioMatrix {
 
     /// Looks up a predefined matrix by name at full paper resolution.
     ///
-    /// The definitions are shared with the figure binaries (`fig2`,
-    /// `fig7`, `fig8`, `ablation_outstanding` resolve their matrices
-    /// here), so CLI runs reproduce the binaries' numbers exactly — same
+    /// The definitions are shared with the scenarios (`fig2`, `fig7`,
+    /// `fig8`, `ablation_outstanding` resolve their matrices here), so
+    /// `--matrix` runs reproduce the scenario numbers exactly — same
     /// seeds, grids, and request counts.
     ///
     /// | name | kind | contents |
@@ -1437,7 +1400,7 @@ fn live_cluster_matrix(name: &str, seed: u64, plan: ClusterPlan) -> ScenarioMatr
     let params = |cluster| LiveParams {
         workers: 4,
         connections: 24,
-        cluster: Some(cluster),
+        cluster,
         ..LiveParams::default()
     };
     ScenarioMatrix::new(name, seed)

@@ -21,7 +21,7 @@ use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use live::{query_metrics, LiveRunConfig, MetricsWindow, Server};
+use live::{query_metrics, Cluster, LiveRunConfig, MetricsWindow, NodeLaunch};
 
 use crate::plot::sparkline;
 use crate::spec::PolicySpec;
@@ -215,8 +215,8 @@ pub fn watch_addr(
     }
 }
 
-/// Spins up `spec`'s loopback pair with a `window`-length sampler and
-/// watches it: the server runs in-process, the load generator on a
+/// Spins up `spec`'s single node with a `window`-length sampler and
+/// watches it: the server runs in-process, the balancer client on a
 /// background thread, and the dashboard polls the `METRICS` verb over
 /// the wire exactly like an external client until the run drains (or
 /// the frame budget is spent, whichever is first).
@@ -231,15 +231,16 @@ pub fn watch_loopback(
     // length, whatever the config said; the client-side series stays
     // off — the dashboard reads the *server's* windows over the wire.
     let spec = spec.clone().series_interval(Some(window));
-    let server = Server::start(spec.server_config(None), "127.0.0.1:0")?;
-    let mut loadgen_cfg = spec.loadgen_config(server.local_addr());
-    loadgen_cfg.series_interval = None;
+    let node = Cluster::start(&spec, NodeLaunch::InProcess)?;
+    let directory = node.directory();
+    let addr = directory.nodes()[0].addr;
+    let mut client_cfg = spec.balancer_config();
+    client_cfg.series_interval = None;
     let driver = std::thread::Builder::new()
         .name("watch-loadgen".into())
-        .spawn(move || live::loadgen::run_loadgen(&loadgen_cfg))
+        .spawn(move || live::cluster::run_balancer(&client_cfg, &directory))
         .expect("spawn loadgen thread");
 
-    let addr = server.local_addr();
     let mut summary = WatchSummary::default();
     let mut history: Vec<MetricsWindow> = Vec::new();
     let mut since = 0u64;
@@ -276,9 +277,9 @@ pub fn watch_loopback(
         }
         std::thread::sleep(cfg.refresh);
     }
-    server.stop();
+    node.stop();
     match driver.join() {
-        Ok(Ok(stats)) => writeln!(
+        Ok(Ok((stats, _, _))) => writeln!(
             out,
             "run drained: {}/{} response(s), p99 {:.3} ms",
             stats.received,

@@ -16,7 +16,7 @@ use dist::SyntheticKind;
 use harness::{
     ExperimentSpec, LiveParams, PolicySpec, RateGrid, ScenarioMatrix, WorkloadSpec,
 };
-use live::{BurnMode, LivePolicy};
+use live::{BurnMode, ClusterPlan, LivePolicy};
 use rpcvalet::Policy;
 use telemetry::{assemble_timelines, TraceEvent};
 use workloads::Workload;
@@ -82,7 +82,7 @@ fn live_hop_durations_sum_to_end_to_end() {
                 connections: 4,
                 scale: 50.0,
                 replenish_batch: 1,
-                cluster: None,
+                cluster: ClusterPlan::default(),
             },
         ),
         rate_rps: 0.6,

@@ -13,12 +13,14 @@
 //! p50/p99/throughput summary from the latency histogram when the run
 //! drains.
 //!
-//! `--addrs` drives a *cluster* through the client-side balancer: flows
-//! map to nodes by rendezvous hashing, redirects from draining nodes are
-//! followed, and the run ends with a request-accounting line proving
-//! nothing was lost. `--drain-node ADDR` sends the wire `DRAIN` verb to
-//! one node and exits — pair it with a running `--addrs` loadgen to
-//! watch a drain live.
+//! Every run goes through the client-side balancer; `--addr` is a
+//! one-entry `--addrs`. With several nodes, flows map to nodes by
+//! rendezvous hashing and redirects from draining nodes are followed.
+//! The run ends with a request-accounting line proving nothing was
+//! lost. `--window-ms` adds a per-window throughput/latency table from
+//! the client's own clock. `--drain-node ADDR` sends the wire `DRAIN`
+//! verb to one node and exits — pair it with a running `--addrs`
+//! loadgen to watch a drain live.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -27,14 +29,12 @@ use std::time::Duration;
 use dist::ServiceDist;
 use live::cli::{parse_addr_list, resolve_addr, Flags};
 use live::cluster::{run_balancer, BalancerConfig, NodeDirectory};
-use live::loadgen::{run_loadgen, LoadgenConfig};
 use live::protocol::DrainAction;
 use live::query_drain;
 use workloads::Workload;
 
 struct Args {
-    addr: String,
-    addrs: Option<String>,
+    addrs: String,
     drain_node: Option<String>,
     load: Option<f64>,
     rate: Option<f64>,
@@ -50,8 +50,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        addr: "127.0.0.1:7117".to_owned(),
-        addrs: None,
+        addrs: "127.0.0.1:7117".to_owned(),
         drain_node: None,
         load: None,
         rate: None,
@@ -67,8 +66,8 @@ fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--addr" => args.addr = flags.value("--addr")?,
-            "--addrs" => args.addrs = Some(flags.value("--addrs")?),
+            "--addr" => args.addrs = flags.value("--addr")?,
+            "--addrs" => args.addrs = flags.value("--addrs")?,
             "--drain-node" => args.drain_node = Some(flags.value("--drain-node")?),
             "--load" => args.load = Some(flags.parse("--load")?),
             "--rate" => args.rate = Some(flags.parse("--rate")?),
@@ -111,17 +110,14 @@ fn main() -> ExitCode {
     }
     let service: ServiceDist = args.workload.service_dist();
     let mean_ns = service.mean_ns() * args.scale;
-    let nodes = match &args.addrs {
-        Some(list) => match parse_addr_list(list) {
-            Ok(addrs) => Some(addrs),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let addrs = match parse_addr_list(&args.addrs) {
+        Ok(addrs) => addrs,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
     };
-    let total_workers = args.workers * nodes.as_ref().map_or(1, Vec::len);
+    let total_workers = args.workers * addrs.len();
     let rate_rps = match (args.rate, args.load) {
         (Some(rate), _) => rate,
         (None, Some(load)) => load * total_workers as f64 * 1e9 / mean_ns,
@@ -131,77 +127,31 @@ fn main() -> ExitCode {
     let expected = Duration::from_secs_f64(args.requests as f64 / rate_rps);
     let drain_timeout = expected * 3 + Duration::from_secs(10);
 
-    if let Some(addrs) = nodes {
-        println!(
-            "loadgen -> {} node(s) : {} requests at {:.0} rps ({} workload, mean service {:.3} ms, ~{:.1} s)",
-            addrs.len(),
-            args.requests,
-            rate_rps,
-            args.workload,
-            mean_ns / 1e6,
-            expected.as_secs_f64()
-        );
-        let directory = Arc::new(NodeDirectory::new(addrs));
-        let cfg = BalancerConfig {
-            flows: args.conns,
-            requests: args.requests,
-            warmup,
-            rate_rps,
-            service,
-            scale: args.scale,
-            seed: args.seed,
-            workers_hint: total_workers,
-            drain_timeout,
-            churn: false,
-        };
-        return match run_balancer(&cfg, &directory) {
-            Ok((stats, accounting, redirects)) => {
-                println!("{}", stats.summary());
-                println!("accounting: {accounting} ({redirects} redirect frame(s))");
-                if accounting.lost() > 0 {
-                    eprintln!("warning: {} request(s) lost", accounting.lost());
-                    return ExitCode::FAILURE;
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("loadgen failed: {e} (are the valetd nodes running?)");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let addr = match resolve_addr(&args.addr) {
-        Ok(addr) => addr,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
     println!(
-        "loadgen -> {} : {} requests at {:.0} rps ({} workload, mean service {:.3} ms, ~{:.1} s)",
-        addr,
+        "loadgen -> {} node(s) : {} requests at {:.0} rps ({} workload, mean service {:.3} ms, ~{:.1} s)",
+        addrs.len(),
         args.requests,
         rate_rps,
         args.workload,
         mean_ns / 1e6,
         expected.as_secs_f64()
     );
-    let cfg = LoadgenConfig {
-        addr,
-        connections: args.conns,
+    let directory = Arc::new(NodeDirectory::new(addrs));
+    let cfg = BalancerConfig {
+        flows: args.conns,
         requests: args.requests,
         warmup,
         rate_rps,
         service,
         scale: args.scale,
         seed: args.seed,
-        workers_hint: args.workers,
+        workers_hint: total_workers,
         drain_timeout,
+        churn: false,
         series_interval: args.window_ms.map(Duration::from_millis),
     };
-    match run_loadgen(&cfg) {
-        Ok(stats) => {
+    match run_balancer(&cfg, &directory) {
+        Ok((stats, accounting, redirects)) => {
             println!("{}", stats.summary());
             if let Some(series) = &stats.series {
                 let derived = telemetry::derive_series(
@@ -220,17 +170,18 @@ fn main() -> ExitCode {
                     );
                 }
             }
-            if stats.received < stats.sent {
-                eprintln!(
-                    "warning: {} responses never arrived",
-                    stats.sent - stats.received
-                );
+            println!(
+                "accounting: {accounting}, lost {} ({redirects} redirect frame(s))",
+                accounting.lost()
+            );
+            if accounting.lost() > 0 {
+                eprintln!("warning: {} request(s) lost", accounting.lost());
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("loadgen failed: {e} (is valetd running at {addr}?)");
+            eprintln!("loadgen failed: {e} (are the valetd nodes running?)");
             ExitCode::FAILURE
         }
     }

@@ -13,10 +13,11 @@
 //!   drain over the wire, wait for in-flight zero, restart on a fresh
 //!   port, rejoin the directory.
 //! * [`run_balancer`] / [`run_cluster`] — the open-loop load generator
-//!   taught about redirects and reconnects. Every request ends in
-//!   exactly one of completed / redirected / rejected, tallied in a
-//!   [`RequestAccounting`]; anything else is a *lost* request and the
-//!   run's accounting check fails.
+//!   (the workspace's only live client; a single server is a 1-node
+//!   directory) taught about redirects and reconnects. Every request
+//!   ends in exactly one of completed / redirected / rejected, tallied
+//!   in a [`RequestAccounting`]; anything else is a *lost* request and
+//!   the run's accounting check fails.
 //!
 //! The failure drivers ([`FailureMode`]) are the point: churn proves
 //! the balancer survives a reconnect storm, drain proves a node can
@@ -35,17 +36,18 @@ use std::time::{Duration, Instant};
 
 use dist::ServiceDist;
 use metrics::{jain_index, LatencyHistogram, RequestAccounting};
-use rand::Rng;
-use simkit::rng::{split_seed, stream_rng};
+use simkit::rng::split_seed;
 use simkit::SimDuration;
+use telemetry::{EventRing, RingFlusher, SeriesRecorder, TraceEvent};
 
 use crate::config::{ClusterPlan, FailureMode, LiveRunConfig};
-use crate::loadgen::{LiveRunStats, MAX_TRACKED_WORKERS};
+use crate::loadgen::{wait_until, LiveRunStats, Schedule, MAX_TRACKED_WORKERS};
 use crate::protocol::{
     read_frame, DrainAction, Redirect, Request, Response, StatsSnapshot, KIND_REDIRECT,
     KIND_RESPONSE,
 };
 use crate::server::{BurnMode, Server};
+use crate::stats::TraceSink;
 use crate::{query_drain, query_stats, request_remote_shutdown};
 
 /// Resends per request before the balancer gives up and counts it
@@ -182,36 +184,79 @@ enum NodeHandle {
     Process(Child),
 }
 
+/// A node's in-process request-lifecycle capture: a bounded ring its
+/// hot path stamps into, drained by a background flusher (the server
+/// never blocks on trace I/O; a full ring shows up as dropped events,
+/// never as latency).
+struct TraceCapture {
+    ring: Arc<EventRing>,
+    flusher: RingFlusher<Vec<TraceEvent>>,
+}
+
 /// A supervised set of live nodes sharing one [`NodeDirectory`].
 pub struct Cluster {
     nodes: Mutex<Vec<Option<NodeHandle>>>,
     directory: Arc<NodeDirectory>,
     launch: NodeLaunch,
     config: LiveRunConfig,
+    trace: Mutex<Option<TraceCapture>>,
 }
 
 impl Cluster {
     /// Starts `cfg.cluster` nodes (each `cfg.workers` workers of
-    /// `cfg.policy`) and a directory listing them all alive.
+    /// `cfg.policy`) and a directory listing them all alive. With
+    /// [`LiveRunConfig::trace_requests`] set, the (single, in-process)
+    /// node stamps its first requests' hops into a trace ring whose
+    /// capture [`run_cluster`] returns in [`ClusterOutcome::events`].
     pub fn start(cfg: &LiveRunConfig, launch: NodeLaunch) -> io::Result<Cluster> {
         cfg.validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let plan = cfg.cluster.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "config has no cluster plan")
-        })?;
+        let ring = match (&launch, cfg.trace_requests) {
+            (_, 0) => None,
+            (NodeLaunch::InProcess, _) => Some(Arc::new(EventRing::with_capacity(8 * 1024))),
+            (NodeLaunch::Process(_), _) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "request tracing needs an in-process node",
+                ))
+            }
+        };
+        let mut sink = ring
+            .as_ref()
+            .map(|ring| TraceSink::new(Arc::clone(ring), cfg.trace_requests));
+        let plan = cfg.cluster;
         let mut nodes = Vec::with_capacity(plan.nodes);
         let mut addrs = Vec::with_capacity(plan.nodes);
         for _ in 0..plan.nodes {
-            let (handle, addr) = start_node(cfg, &launch)?;
+            // `validate` allows tracing on one node only.
+            let (handle, addr) = start_node(cfg, &launch, sink.take())?;
             nodes.push(Some(handle));
             addrs.push(addr);
         }
+        // The flusher starts only once every node is up, so a failed
+        // start leaves no thread behind (nothing is traced before the
+        // first request anyway).
+        let trace = ring.map(|ring| TraceCapture {
+            flusher: RingFlusher::spawn(Arc::clone(&ring), Vec::new()),
+            ring,
+        });
         Ok(Cluster {
             nodes: Mutex::new(nodes),
             directory: Arc::new(NodeDirectory::new(addrs)),
             launch,
             config: cfg.clone(),
+            trace: Mutex::new(trace),
         })
+    }
+
+    /// The trace capture and its dropped-event count (empty when
+    /// tracing was off). Call after [`Cluster::stop`]: with the node
+    /// stopped, the flusher's final drain returns the complete capture.
+    fn finish_trace(&self) -> (Vec<TraceEvent>, u64) {
+        match self.trace.lock().expect("cluster trace").take() {
+            Some(capture) => (capture.flusher.finish(), capture.ring.dropped()),
+            None => (Vec::new(), 0),
+        }
     }
 
     /// The shared routing table (hand clones to balancers and drivers).
@@ -253,7 +298,7 @@ impl Cluster {
         if let Some(handle) = handle {
             stop_node(handle, addr, true)?;
         }
-        let (handle, new_addr) = start_node(&self.config, &self.launch)?;
+        let (handle, new_addr) = start_node(&self.config, &self.launch, None)?;
         self.nodes.lock().expect("cluster nodes")[node] = Some(handle);
         self.directory.replace(node, new_addr);
         Ok(parting)
@@ -277,10 +322,14 @@ impl Drop for Cluster {
     }
 }
 
-fn start_node(cfg: &LiveRunConfig, launch: &NodeLaunch) -> io::Result<(NodeHandle, SocketAddr)> {
+fn start_node(
+    cfg: &LiveRunConfig,
+    launch: &NodeLaunch,
+    trace: Option<TraceSink>,
+) -> io::Result<(NodeHandle, SocketAddr)> {
     match launch {
         NodeLaunch::InProcess => {
-            let server = Server::start(cfg.server_config(None), "127.0.0.1:0")?;
+            let server = Server::start(cfg.server_config(trace), "127.0.0.1:0")?;
             let addr = server.local_addr();
             Ok((NodeHandle::InProcess(server), addr))
         }
@@ -388,12 +437,106 @@ struct Pending {
     flow: usize,
 }
 
+/// What the reply readers tally, folded into [`LiveRunStats`] once the
+/// run ends.
 struct Agg {
     hist: LatencyHistogram,
     worker_counts: Vec<u64>,
     received: u64,
     first_measured_ns: Option<u64>,
     last_measured_ns: Option<u64>,
+    /// Completions with `req_id < warmup` are counted but not measured.
+    warmup: u64,
+    /// Client-side windowed series, when
+    /// [`BalancerConfig::series_interval`] is set.
+    series: Option<SeriesRecorder>,
+}
+
+impl Agg {
+    fn new(cfg: &BalancerConfig) -> Agg {
+        let workers = cfg.workers_hint.max(1);
+        Agg {
+            hist: LatencyHistogram::new(),
+            worker_counts: vec![0; cfg.workers_hint],
+            received: 0,
+            first_measured_ns: None,
+            last_measured_ns: None,
+            warmup: cfg.warmup,
+            series: cfg.series_interval.map(|interval| {
+                let interval_ps = (interval.as_nanos() as u64).max(1).saturating_mul(1_000);
+                SeriesRecorder::new(interval_ps, workers, workers)
+            }),
+        }
+    }
+
+    /// Tallies the first completion of `req_id`, scheduled at
+    /// `sent_at_ns`, received at `now_ns`, served by tier-wide worker
+    /// index `worker`.
+    fn record(&mut self, req_id: u64, sent_at_ns: u64, now_ns: u64, worker: usize) {
+        self.received += 1;
+        if req_id < self.warmup {
+            return;
+        }
+        let latency = now_ns.saturating_sub(sent_at_ns);
+        self.hist.record(SimDuration::from_ns(latency));
+        if let Some(rec) = self.series.as_mut() {
+            rec.note_arrival(sent_at_ns.saturating_mul(1_000));
+            rec.note_completion(
+                now_ns.saturating_mul(1_000),
+                latency.saturating_mul(1_000),
+                worker,
+            );
+        }
+        // The worker id comes off the wire: cap it so a corrupt frame
+        // can't demand a giant allocation (latency still counts).
+        if worker < MAX_TRACKED_WORKERS {
+            if worker >= self.worker_counts.len() {
+                self.worker_counts.resize(worker + 1, 0);
+            }
+            self.worker_counts[worker] += 1;
+        }
+        self.first_measured_ns.get_or_insert(now_ns);
+        self.last_measured_ns = Some(now_ns);
+    }
+
+    /// Folds the tallies into the run's statistics.
+    fn finish(&mut self, sent: u64, elapsed: Duration, mean_service_ns: f64) -> LiveRunStats {
+        let measured = self.hist.count();
+        let window_ns = match (self.first_measured_ns, self.last_measured_ns) {
+            (Some(a), Some(b)) if b > a => (b - a) as f64,
+            _ => 0.0,
+        };
+        let throughput_rps = if window_ns > 0.0 && measured > 1 {
+            (measured - 1) as f64 / window_ns * 1e9
+        } else {
+            0.0
+        };
+        let (mean, p50, p99) = if measured > 0 {
+            (
+                self.hist.mean().as_ns_f64(),
+                self.hist.percentile(0.50).as_ns_f64(),
+                self.hist.percentile(0.99).as_ns_f64(),
+            )
+        } else {
+            (0.0, 0.0, 0.0)
+        };
+        let counts_f64: Vec<f64> = self.worker_counts.iter().map(|&c| c as f64).collect();
+        LiveRunStats {
+            hist: self.hist.clone(),
+            sent,
+            received: self.received,
+            measured,
+            elapsed,
+            throughput_rps,
+            mean_latency_ns: mean,
+            p50_latency_ns: p50,
+            p99_latency_ns: p99,
+            mean_service_ns,
+            load_balance_jain: jain_index(&counts_f64),
+            worker_completions: self.worker_counts.clone(),
+            series: self.series.take().map(|rec| rec.into_job("loadgen")),
+        }
+    }
 }
 
 /// State shared between the sender, the per-connection readers, and the
@@ -407,7 +550,6 @@ struct BalancerShared {
     redirected: AtomicU64,
     rejected: AtomicU64,
     redirect_frames: AtomicU64,
-    warmup: u64,
     /// Workers per node: response frames tag the *node-local* worker
     /// index, so balance statistics slot them at
     /// `node * workers_per_node + worker` to keep nodes distinct.
@@ -471,7 +613,7 @@ pub struct BalancerConfig {
     pub service: ServiceDist,
     /// Multiplier applied to each sampled service time.
     pub scale: f64,
-    /// RNG master seed (same stream split as the single-node loadgen).
+    /// RNG master seed (see [`Schedule`] for the stream split).
     pub seed: u64,
     /// Total workers across the tier, for balance statistics.
     pub workers_hint: usize,
@@ -480,6 +622,9 @@ pub struct BalancerConfig {
     /// `true` severs every even-numbered flow's socket at 40 % and 60 %
     /// of the schedule — the reconnect storm.
     pub churn: bool,
+    /// `Some(interval)` records a client-side windowed latency series
+    /// ([`LiveRunStats::series`]), bucketed on the client's own clock.
+    pub series_interval: Option<Duration>,
 }
 
 /// The sender-side half of the balancer: flow connections plus the
@@ -560,37 +705,46 @@ impl Balancer {
                 None => return false,
             }
         }
-        let Some((epoch, node, addr)) = self.directory.route(flow as u64) else {
-            return false;
-        };
-        let Ok(stream) = TcpStream::connect(addr) else {
-            return false;
-        };
-        let _ = stream.set_nodelay(true);
-        let Ok(read_half) = stream.try_clone() else {
-            return false;
-        };
-        if let Ok(clone) = stream.try_clone() {
-            self.socks.push(clone);
+        match self.open_flow(flow) {
+            Ok((read_half, node, addr)) => {
+                self.spawn_reader(read_half, node, addr);
+                true
+            }
+            Err(_) => false,
         }
-        let reader_shared = Arc::clone(&self.shared);
-        let reader_directory = Arc::clone(&self.directory);
-        let clock = self.clock;
-        self.readers.push(
-            std::thread::Builder::new()
-                .name("balancer-reader".to_owned())
-                .spawn(move || {
-                    reader_loop(read_half, reader_shared, reader_directory, node, addr, clock)
-                })
-                .expect("spawn balancer reader"),
-        );
+    }
+
+    /// Connects `flow` to the node the directory maps it to now and
+    /// returns the read half (with its node coordinates) for a reader.
+    fn open_flow(&mut self, flow: usize) -> io::Result<(TcpStream, usize, SocketAddr)> {
+        let (epoch, node, addr) = self.directory.route(flow as u64).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotConnected, "no live node to route to")
+        })?;
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let read_half = stream.try_clone()?;
+        self.socks.push(stream.try_clone()?);
         self.flows[flow] = Some(FlowConn {
             stream,
             node,
             addr,
             epoch,
         });
-        true
+        Ok((read_half, node, addr))
+    }
+
+    /// Starts the reply reader for one connection, on the balancer's
+    /// schedule clock.
+    fn spawn_reader(&mut self, read_half: TcpStream, node: usize, addr: SocketAddr) {
+        let shared = Arc::clone(&self.shared);
+        let directory = Arc::clone(&self.directory);
+        let clock = self.clock;
+        self.readers.push(
+            std::thread::Builder::new()
+                .name("balancer-reader".to_owned())
+                .spawn(move || reader_loop(read_half, shared, directory, node, addr, clock))
+                .expect("spawn balancer reader"),
+        );
     }
 
     /// The reconnect storm: sever every even flow's socket outright and
@@ -621,6 +775,11 @@ pub struct ClusterOutcome {
     /// Per-node final telemetry snapshots, indexed like the directory
     /// (a drained node's snapshot is taken just before its restart).
     pub node_stats: Vec<StatsSnapshot>,
+    /// Request-lifecycle trace events (empty unless
+    /// [`LiveRunConfig::trace_requests`] was set).
+    pub events: Vec<TraceEvent>,
+    /// Trace events lost to a full ring (0 means the capture is whole).
+    pub dropped: u64,
 }
 
 /// Runs the full cluster experiment described by `cfg`: start nodes,
@@ -632,44 +791,38 @@ pub fn run_cluster(cfg: &LiveRunConfig) -> io::Result<ClusterOutcome> {
 
 /// [`run_cluster`] with an explicit node launch mode.
 pub fn run_cluster_with(cfg: &LiveRunConfig, launch: NodeLaunch) -> io::Result<ClusterOutcome> {
-    let plan = cfg.cluster.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "config has no cluster plan")
-    })?;
     let cluster = Arc::new(Cluster::start(cfg, launch)?);
-    let driver = spawn_failure_driver(&cluster, plan, cfg.expected_duration());
-    let balancer_cfg = BalancerConfig {
-        flows: cfg.connections,
-        requests: cfg.requests,
-        warmup: cfg.warmup,
-        rate_rps: cfg.rate_rps(),
-        service: cfg.service.clone(),
-        scale: cfg.scale,
-        seed: cfg.seed,
-        workers_hint: cfg.workers * plan.nodes,
-        drain_timeout: cfg.drain_timeout(),
-        churn: plan.failure == FailureMode::Churn,
+    let driver = spawn_failure_driver(&cluster, cfg.cluster, cfg.expected_duration());
+    let run = run_balancer(&cfg.balancer_config(), &cluster.directory());
+    let driven = match driver {
+        Some(handle) => handle.join().expect("failure driver"),
+        None => Ok(None),
     };
-    let run = run_balancer(&balancer_cfg, &cluster.directory());
-    let drained_snapshot = match driver {
-        Some(handle) => handle.join().expect("failure driver")?,
-        None => None,
-    };
-    let (stats, accounting, redirects) = run?;
-    let mut node_stats = Vec::new();
-    for (node, slot) in cluster.directory.nodes().iter().enumerate() {
-        // The drained node's pre-restart snapshot replaces its (fresh)
-        // replacement's where available.
-        match &drained_snapshot {
-            Some((drained, snap)) if *drained == node => node_stats.push(snap.clone()),
-            _ => node_stats.push(query_stats(slot.addr)?),
-        }
-    }
+    let node_stats = driven.and_then(|drained_snapshot| {
+        let slots = cluster.directory.nodes();
+        let snapshots = slots.iter().enumerate().map(|(node, slot)| {
+            // The drained node's pre-restart snapshot replaces its
+            // (fresh) replacement's where available.
+            match &drained_snapshot {
+                Some((drained, snap)) if *drained == node => Ok(snap.clone()),
+                _ => query_stats(slot.addr),
+            }
+        });
+        snapshots.collect::<io::Result<Vec<_>>>()
+    });
+    // Stop and reap the trace flusher before any error returns, so a
+    // failed run leaves no thread behind.
     cluster.stop();
+    let (events, dropped) = cluster.finish_trace();
+    let (stats, accounting, redirects) = run?;
+    let node_stats = node_stats?;
     Ok(ClusterOutcome {
         stats,
         accounting,
         redirects,
         node_stats,
+        events,
+        dropped,
     })
 }
 
@@ -740,18 +893,11 @@ pub fn run_balancer(
     let shared = Arc::new(BalancerShared {
         outstanding: Mutex::new(BTreeMap::new()),
         retry: Mutex::new(VecDeque::new()),
-        agg: Mutex::new(Agg {
-            hist: LatencyHistogram::new(),
-            worker_counts: vec![0; cfg.workers_hint],
-            received: 0,
-            first_measured_ns: None,
-            last_measured_ns: None,
-        }),
+        agg: Mutex::new(Agg::new(cfg)),
         completed: AtomicU64::new(0),
         redirected: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
         redirect_frames: AtomicU64::new(0),
-        warmup: cfg.warmup,
         workers_per_node: (cfg.workers_hint / directory.nodes().len().max(1)).max(1),
     });
     let mut balancer = Balancer {
@@ -762,39 +908,39 @@ pub fn run_balancer(
         socks: Vec::new(),
         clock: Instant::now(),
     };
+    // Open every flow before the schedule clock starts, so connection
+    // setup never makes the first requests late. At this point every
+    // node is alive, so a failed connect means the tier is unreachable.
+    let mut opened = Vec::with_capacity(cfg.flows);
+    for flow in 0..cfg.flows {
+        opened.push(balancer.open_flow(flow)?);
+    }
+    balancer.clock = Instant::now();
+    for (read_half, node, addr) in opened {
+        balancer.spawn_reader(read_half, node, addr);
+    }
 
     crate::reduce_timer_slack();
-    let mut arrival_rng = stream_rng(cfg.seed, 0);
-    let mut route_rng = stream_rng(cfg.seed, 1);
-    let mut service_rng = stream_rng(cfg.seed, 2);
-    let mean_gap_ns = 1e9 / cfg.rate_rps;
-    let mut next_send_ns = 0.0f64;
-    let mut service_sum_ns = 0.0f64;
     // The reconnect storm severs even flows at these points in the
     // schedule (request counts, not wall-clock, so tests are exact).
     let churn_points: [u64; 2] = [cfg.requests * 2 / 5, cfg.requests * 3 / 5];
-
-    for req_id in 0..cfg.requests {
+    let mut schedule = Schedule::new(cfg);
+    for req in &mut schedule {
         balancer.drain_retries();
-        if cfg.churn && churn_points.contains(&req_id) {
+        if cfg.churn && churn_points.contains(&req.req_id) {
             balancer.sever_even_flows();
         }
-        let u: f64 = arrival_rng.gen();
-        next_send_ns += -mean_gap_ns * (1.0 - u).ln();
-        wait_until(balancer.clock, next_send_ns as u64);
-        let service_ns = (cfg.service.sample_ns(&mut service_rng) * cfg.scale).max(0.0) as u64;
-        service_sum_ns += service_ns as f64;
-        let flow = route_rng.gen_range(0..cfg.flows);
+        wait_until(balancer.clock, req.sent_at_ns);
         shared.outstanding.lock().expect("outstanding").insert(
-            req_id,
+            req.req_id,
             Pending {
-                sent_at_ns: next_send_ns as u64,
-                service_ns,
+                sent_at_ns: req.sent_at_ns,
+                service_ns: req.service_ns,
                 attempts: 0,
-                flow,
+                flow: req.flow,
             },
         );
-        balancer.send_on_flow(flow, req_id, next_send_ns as u64, service_ns);
+        balancer.send_on_flow(req.flow, req.req_id, req.sent_at_ns, req.service_ns);
     }
     let issued = cfg.requests;
 
@@ -827,46 +973,11 @@ pub fn run_balancer(
         redirected: shared.redirected.load(Ordering::Relaxed),
         rejected: shared.rejected.load(Ordering::Relaxed),
     };
-    let agg = shared.agg.lock().expect("agg");
-    let measured = agg.hist.count();
-    let window_ns = match (agg.first_measured_ns, agg.last_measured_ns) {
-        (Some(a), Some(b)) if b > a => (b - a) as f64,
-        _ => 0.0,
-    };
-    let throughput_rps = if window_ns > 0.0 && measured > 1 {
-        (measured - 1) as f64 / window_ns * 1e9
-    } else {
-        0.0
-    };
-    let (mean, p50, p99) = if measured > 0 {
-        (
-            agg.hist.mean().as_ns_f64(),
-            agg.hist.percentile(0.50).as_ns_f64(),
-            agg.hist.percentile(0.99).as_ns_f64(),
-        )
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-    let counts_f64: Vec<f64> = agg.worker_counts.iter().map(|&c| c as f64).collect();
-    let stats = LiveRunStats {
-        hist: agg.hist.clone(),
-        sent: issued,
-        received: agg.received,
-        measured,
+    let stats = shared.agg.lock().expect("agg").finish(
+        issued,
         elapsed,
-        throughput_rps,
-        mean_latency_ns: mean,
-        p50_latency_ns: p50,
-        p99_latency_ns: p99,
-        mean_service_ns: if issued > 0 {
-            service_sum_ns / issued as f64
-        } else {
-            0.0
-        },
-        load_balance_jain: jain_index(&counts_f64),
-        worker_completions: agg.worker_counts.clone(),
-        series: None,
-    };
+        schedule.mean_service_ns(),
+    );
     Ok((
         stats,
         accounting,
@@ -907,21 +1018,13 @@ fn reader_loop(
                 } else {
                     shared.redirected.fetch_add(1, Ordering::Relaxed);
                 }
-                let mut agg = shared.agg.lock().expect("agg");
-                agg.received += 1;
-                if resp.req_id >= shared.warmup {
-                    let latency = now_ns.saturating_sub(pending.sent_at_ns);
-                    agg.hist.record(SimDuration::from_ns(latency));
-                    let worker = node * shared.workers_per_node + resp.worker as usize;
-                    if worker < MAX_TRACKED_WORKERS {
-                        if worker >= agg.worker_counts.len() {
-                            agg.worker_counts.resize(worker + 1, 0);
-                        }
-                        agg.worker_counts[worker] += 1;
-                    }
-                    agg.first_measured_ns.get_or_insert(now_ns);
-                    agg.last_measured_ns = Some(now_ns);
-                }
+                let worker = node * shared.workers_per_node + resp.worker as usize;
+                shared.agg.lock().expect("agg").record(
+                    resp.req_id,
+                    pending.sent_at_ns,
+                    now_ns,
+                    worker,
+                );
             }
             Some(KIND_REDIRECT) => {
                 let Ok(redirect) = Redirect::decode(&payload) else {
@@ -933,19 +1036,6 @@ fn reader_loop(
             }
             _ => break,
         }
-    }
-}
-
-/// Sleeps until `clock + target_ns` (same always-sleep discipline as
-/// the single-node load generator).
-fn wait_until(clock: Instant, target_ns: u64) {
-    let target = Duration::from_nanos(target_ns);
-    loop {
-        let now = clock.elapsed();
-        if now >= target {
-            return;
-        }
-        std::thread::sleep(target - now);
     }
 }
 

@@ -1,22 +1,19 @@
 //! The one live-run configuration: [`LiveRunConfig`].
 //!
-//! Every way of running the live tier — the `valetd`/`loadgen` binary
-//! pair, the in-process loopback used by tests and the harness, and the
-//! multi-node cluster with its failure drivers — used to grow its own
-//! positional parameter list. They all consume this one builder now:
-//! construct with [`LiveRunConfig::new`], override what the defaults
-//! get wrong, and hand the result to [`crate::run_loopback`],
-//! [`crate::run_loopback_observed`], or [`crate::cluster::run_cluster`].
-//! The server- and client-side configs the lower layers still speak
-//! ([`ServerConfig`], [`LoadgenConfig`]) are derived, never hand-built.
+//! Every in-process live run — a single server or a multi-node cluster
+//! with its failure drivers — consumes this one builder: construct with
+//! [`LiveRunConfig::new`], override what the defaults get wrong, and
+//! hand the result to [`crate::cluster::run_cluster`]. A single server
+//! is simply the default plan, a 1-node cluster ([`ClusterPlan::new`]
+//! with `1`). The server- and client-side configs the lower layers
+//! speak ([`ServerConfig`], [`BalancerConfig`]) are derived from it.
 
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use dist::ServiceDist;
 
+use crate::cluster::BalancerConfig;
 use crate::dispatch::LivePolicy;
-use crate::loadgen::LoadgenConfig;
 use crate::server::{BurnMode, ServerConfig};
 use crate::stats::TraceSink;
 
@@ -51,6 +48,7 @@ impl FailureMode {
 }
 
 /// Cluster shape for a live run: how many nodes, and what goes wrong.
+/// The default is one steady node — a plain single-server run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterPlan {
     /// Server processes (each with [`LiveRunConfig::workers`] workers).
@@ -73,10 +71,28 @@ impl ClusterPlan {
         self.failure = failure;
         self
     }
+
+    /// Spec-key / label suffix `-c{nodes}{failure}`; empty for the
+    /// default single steady node, so single-server keys and labels
+    /// carry no cluster suffix.
+    pub fn key_suffix(self) -> String {
+        if self == ClusterPlan::default() {
+            String::new()
+        } else {
+            format!("-c{}{}", self.nodes, self.failure.key_suffix())
+        }
+    }
 }
 
-/// One live experiment, end to end: server shape, offered load, and —
-/// when [`LiveRunConfig::cluster`] is set — the cluster plan.
+impl Default for ClusterPlan {
+    fn default() -> Self {
+        ClusterPlan::new(1)
+    }
+}
+
+/// One live experiment, end to end: server shape, offered load, and
+/// the cluster plan (one node unless [`LiveRunConfig::cluster`] says
+/// otherwise).
 ///
 /// `load` is a fraction of *total* capacity: `workers × nodes` workers
 /// at the scaled mean service time. A 3-node cluster at `load(0.7)`
@@ -102,7 +118,7 @@ pub struct LiveRunConfig {
     pub load: f64,
     /// Service-demand profile (ns, before scaling).
     pub service: ServiceDist,
-    /// Service-time multiplier (see [`LoadgenConfig::scale`]).
+    /// Service-time multiplier (see [`BalancerConfig::scale`]).
     pub scale: f64,
     /// RNG master seed.
     pub seed: u64,
@@ -112,17 +128,17 @@ pub struct LiveRunConfig {
     pub replenish_batch: usize,
     /// `Some(interval)` turns on windowed telemetry on both sides: each
     /// server runs a metrics sampler at this window length (served by
-    /// the `METRICS` verb) and the single-node load generator records a
-    /// client-side windowed latency series. `None` runs unwindowed.
+    /// the `METRICS` verb) and the client records a windowed latency
+    /// series. `None` runs unwindowed.
     pub series_interval: Option<Duration>,
     /// Stamp request-lifecycle hops for the first N requests (0 = off;
-    /// single-node runs only).
+    /// single-node runs only — trace sequence numbers are per server).
     pub trace_requests: u64,
     /// This node's index in a cluster (labels, stable across restarts).
     pub node_id: usize,
-    /// `Some` runs a multi-node cluster behind the client-side
-    /// balancer; `None` is the classic single server + load generator.
-    pub cluster: Option<ClusterPlan>,
+    /// Node count and injected failure; [`ClusterPlan::default`] is one
+    /// steady node, the classic single server.
+    pub cluster: ClusterPlan,
 }
 
 impl LiveRunConfig {
@@ -146,7 +162,7 @@ impl LiveRunConfig {
             series_interval: None,
             trace_requests: 0,
             node_id: 0,
-            cluster: None,
+            cluster: ClusterPlan::default(),
         }
     }
 
@@ -225,13 +241,13 @@ impl LiveRunConfig {
 
     /// Runs a cluster with `plan` instead of a single server.
     pub fn cluster(mut self, plan: ClusterPlan) -> Self {
-        self.cluster = Some(plan);
+        self.cluster = plan;
         self
     }
 
-    /// Node count (1 when not clustered).
+    /// Node count.
     pub fn nodes(&self) -> usize {
-        self.cluster.map_or(1, |plan| plan.nodes)
+        self.cluster.nodes
     }
 
     /// Total worker threads across the tier.
@@ -285,19 +301,24 @@ impl LiveRunConfig {
                 ));
             }
         }
-        if let Some(plan) = self.cluster {
-            if plan.nodes == 0 {
-                return Err("a cluster needs at least one node".to_owned());
-            }
-            if plan.failure == FailureMode::Drain && plan.nodes < 2 {
-                return Err("drain needs a second node to absorb redirected flows".to_owned());
-            }
+        if self.cluster.nodes == 0 {
+            return Err("a cluster needs at least one node".to_owned());
+        }
+        if self.cluster.failure == FailureMode::Drain && self.cluster.nodes < 2 {
+            return Err("drain needs a second node to absorb redirected flows".to_owned());
+        }
+        if self.trace_requests > 0 && self.cluster.nodes > 1 {
+            return Err(format!(
+                "request tracing needs a single node (trace sequence numbers are per \
+                 server), not {}",
+                self.cluster.nodes
+            ));
         }
         Ok(())
     }
 
     /// The per-node server config this run calls for (`trace` is only
-    /// ever set for single-node observed runs).
+    /// ever set for single-node traced runs).
     pub fn server_config(&self, trace: Option<TraceSink>) -> ServerConfig {
         ServerConfig {
             policy: self.policy,
@@ -309,19 +330,19 @@ impl LiveRunConfig {
         }
     }
 
-    /// The load-generator config for driving a single server at `addr`.
-    pub fn loadgen_config(&self, addr: SocketAddr) -> LoadgenConfig {
-        LoadgenConfig {
-            addr,
-            connections: self.connections,
+    /// The client config that drives this run's tier.
+    pub fn balancer_config(&self) -> BalancerConfig {
+        BalancerConfig {
+            flows: self.connections,
             requests: self.requests,
             warmup: self.warmup,
             rate_rps: self.rate_rps(),
             service: self.service.clone(),
             scale: self.scale,
             seed: self.seed,
-            workers_hint: self.workers,
+            workers_hint: self.total_workers(),
             drain_timeout: self.drain_timeout(),
+            churn: self.cluster.failure == FailureMode::Churn,
             series_interval: self.series_interval,
         }
     }
@@ -352,6 +373,14 @@ mod tests {
             .cluster(ClusterPlan::new(3))
             .validate()
             .is_ok());
+        let traced_tier = LiveRunConfig::new(LivePolicy::SingleQueue)
+            .trace_requests(50)
+            .cluster(ClusterPlan::new(3));
+        assert!(traced_tier.validate().unwrap_err().contains("single node"));
+        assert!(LiveRunConfig::new(LivePolicy::SingleQueue)
+            .trace_requests(50)
+            .validate()
+            .is_ok());
     }
 
     #[test]
@@ -360,5 +389,12 @@ mod tests {
         assert_eq!(FailureMode::Churn.key_suffix(), "-churn");
         assert_eq!(FailureMode::Drain.key_suffix(), "-drain");
         assert_eq!(FailureMode::Migrate.key_suffix(), "-mig");
+        // The default plan is a plain single server: no cluster suffix.
+        assert_eq!(ClusterPlan::default().key_suffix(), "");
+        assert_eq!(ClusterPlan::new(3).key_suffix(), "-c3");
+        assert_eq!(
+            ClusterPlan::new(2).failure(FailureMode::Churn).key_suffix(),
+            "-c2-churn"
+        );
     }
 }

@@ -3,10 +3,10 @@
 //! Everything else in this workspace *simulates* RPCValet's dispatch
 //! disciplines (ASPLOS '19 §4–6). This crate *runs* them: a
 //! multi-threaded RPC server ([`Server`], shipped as the `valetd`
-//! binary) and an open-loop Poisson load generator ([`run_loadgen`], the
-//! `loadgen` binary) speak a tiny length-prefixed protocol over loopback
-//! TCP, with the paper's dispatch policies implemented as software
-//! [`Dispatcher`]s:
+//! binary) and an open-loop Poisson load generator
+//! ([`cluster::run_balancer`], the `loadgen` binary) speak a tiny
+//! length-prefixed protocol over loopback TCP, with the paper's
+//! dispatch policies implemented as software [`Dispatcher`]s:
 //!
 //! | policy | paper analogue |
 //! |---|---|
@@ -21,21 +21,23 @@
 //! measures whether real threads on real queues reproduce it (see the
 //! `live_vs_sim` bench binary).
 //!
-//! Every way of running the tier goes through one configuration type,
-//! [`LiveRunConfig`]: single-node loopback ([`run_loopback`],
-//! [`run_loopback_observed`]) and the multi-node cluster with failure
-//! injection ([`cluster::run_cluster`]).
+//! There is one client and one run entry point. Every in-process run
+//! is described by one [`LiveRunConfig`] and executed by
+//! [`cluster::run_cluster`]; a single server is the default plan, a
+//! 1-node cluster, so it gets the same accounting, trace capture, and
+//! client series as a multi-node tier with failure injection.
 //!
 //! ## In-process quickstart
 //!
 //! ```no_run
-//! use live::{run_loopback, LivePolicy, LiveRunConfig};
+//! use live::cluster::run_cluster;
+//! use live::{LivePolicy, LiveRunConfig};
 //!
 //! let config = LiveRunConfig::new(LivePolicy::Replenish)
 //!     .connections(4)
 //!     .seed(7);
-//! let stats = run_loopback(&config).unwrap();
-//! println!("{}", stats.summary());
+//! let outcome = run_cluster(&config).unwrap();
+//! println!("{}", outcome.stats.summary());
 //! ```
 //!
 //! ## Cluster quickstart
@@ -71,7 +73,7 @@ pub use dispatch::{
     make_dispatcher, make_dispatcher_batched, DispatchGauges, Dispatcher, LivePolicy, RouteKey,
 };
 pub use exporter::MetricsExporter;
-pub use loadgen::{run_loadgen, LiveRunStats, LoadgenConfig};
+pub use loadgen::{LiveRunStats, Schedule, ScheduledRequest};
 pub use protocol::{
     encode_metrics_request, encode_stats_request, read_frame, write_frame, DrainAction, DrainReply,
     MetricsReply, MetricsWindow, Request, Response, StatsSnapshot, WorkerStats,
@@ -82,10 +84,8 @@ pub use stats::{render_prometheus, MetricsHub, ServerStats, TraceSink, SAMPLES_P
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 
 use protocol::{encode_drain_request, encode_shutdown_request};
-use telemetry::{EventRing, RingFlusher, TraceEvent};
 
 /// Shrinks this thread's kernel timer slack to 1 ns (Linux
 /// `PR_SET_TIMERSLACK`), so short `thread::sleep`s overshoot by
@@ -110,78 +110,6 @@ pub fn reduce_timer_slack() {
             let _ = prctl(PR_SET_TIMERSLACK, 1, 0, 0, 0);
         }
     }
-}
-
-/// Runs one server + load-generator pair over loopback TCP and returns
-/// the client-side statistics.
-///
-/// The server binds an ephemeral port on 127.0.0.1, the load generator
-/// drives it to completion, and the server is stopped before returning —
-/// nothing leaks between runs. Any [`LiveRunConfig::cluster`] plan is
-/// ignored here; use [`cluster::run_cluster`] for those.
-pub fn run_loopback(config: &LiveRunConfig) -> io::Result<LiveRunStats> {
-    run_loopback_observed(config).map(|outcome| outcome.stats)
-}
-
-/// Everything one observed loopback run produces.
-#[derive(Debug)]
-pub struct LoopbackOutcome {
-    /// Client-side latency statistics (what [`run_loopback`] returns).
-    pub stats: LiveRunStats,
-    /// The server's telemetry snapshot, queried via the `STATS` verb
-    /// over the wire just before shutdown.
-    pub server: StatsSnapshot,
-    /// Request-lifecycle trace events (empty when tracing was off).
-    pub events: Vec<TraceEvent>,
-    /// Trace events lost to a full ring (0 means the capture is whole).
-    pub dropped: u64,
-    /// The server's sealed metrics windows, fetched via the `METRICS`
-    /// verb just before shutdown (empty reply when
-    /// [`LiveRunConfig::series_interval`] was `None`).
-    pub server_series: MetricsReply,
-}
-
-/// [`run_loopback`], with telemetry: always queries the server's
-/// `STATS` snapshot, and — when [`LiveRunConfig::trace_requests`] is
-/// nonzero — stamps request-lifecycle hops for the first N requests
-/// through a bounded ring drained by a background flusher (the `valetd`
-/// hot path never blocks on trace I/O; a full ring shows up in
-/// `dropped`, never in latency).
-pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutcome> {
-    config
-        .validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let ring =
-        (config.trace_requests > 0).then(|| Arc::new(EventRing::with_capacity(8 * 1024)));
-    let flusher = ring
-        .as_ref()
-        .map(|r| RingFlusher::spawn(Arc::clone(r), Vec::new()));
-    let trace = ring
-        .as_ref()
-        .map(|r| TraceSink::new(Arc::clone(r), config.trace_requests));
-    let server = Server::start(config.server_config(trace), "127.0.0.1:0")?;
-    let stats = run_loadgen(&config.loadgen_config(server.local_addr()));
-    // Snapshot over the wire while the server still serves — the same
-    // path an external `STATS`/`METRICS` client uses — then stop it.
-    let server_snapshot = query_stats(server.local_addr());
-    let server_series = query_metrics(server.local_addr(), 0);
-    server.stop();
-    let stats = stats?;
-    let server_snapshot = server_snapshot?;
-    let server_series = server_series?;
-    let (events, dropped) = match (flusher, ring) {
-        // Producers have quiesced (server stopped): the flusher's final
-        // drain returns the complete capture.
-        (Some(flusher), Some(ring)) => (flusher.finish(), ring.dropped()),
-        _ => (Vec::new(), 0),
-    };
-    Ok(LoopbackOutcome {
-        stats,
-        server: server_snapshot,
-        events,
-        dropped,
-        server_series,
-    })
 }
 
 /// Queries a running server's telemetry snapshot over a fresh

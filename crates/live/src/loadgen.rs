@@ -1,4 +1,4 @@
-//! The open-loop Poisson load generator.
+//! The open-loop request schedule and the statistics a run reports.
 //!
 //! Open-loop means arrivals follow a precomputed Poisson schedule that
 //! does **not** react to response times — the only methodology that
@@ -6,63 +6,29 @@
 //! hides it). Latency is measured from each request's *scheduled* send
 //! time, so generator lag under overload shows up as latency, exactly as
 //! it would for real clients.
+//!
+//! The client that walks the schedule is
+//! [`run_balancer`](crate::cluster::run_balancer): one loop for a single
+//! server and for a cluster alike (a single server is a 1-node
+//! directory).
 
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dist::ServiceDist;
-use metrics::{jain_index, LatencyHistogram};
+use metrics::LatencyHistogram;
+use rand::rngs::SmallRng;
 use rand::Rng;
 use simkit::rng::stream_rng;
-use simkit::SimDuration;
-use telemetry::{merge_series, JobSeries, SeriesRecorder, SeriesWindow};
+use telemetry::JobSeries;
 
-use crate::protocol::{read_frame, Request, Response};
+use crate::cluster::BalancerConfig;
 
 /// Upper bound on worker ids tracked in balance statistics; responses
 /// claiming a larger id are counted for latency but not balance (the id
 /// is wire data and must not size allocations).
 pub const MAX_TRACKED_WORKERS: usize = 4_096;
 
-/// Load-generator configuration.
-#[derive(Debug, Clone)]
-pub struct LoadgenConfig {
-    /// Server address.
-    pub addr: SocketAddr,
-    /// Client connections to open (requests are spread uniformly across
-    /// them; with an RSS server this is the flow population).
-    pub connections: usize,
-    /// Total requests to send.
-    pub requests: u64,
-    /// Completions with `req_id < warmup` are excluded from statistics.
-    pub warmup: u64,
-    /// Offered load (requests/second).
-    pub rate_rps: f64,
-    /// Service-demand distribution (ns, before scaling).
-    pub service: ServiceDist,
-    /// Multiplier applied to each sampled service time (e.g. 1000 turns
-    /// the paper's ns-scale profiles into µs-scale sleeps).
-    pub scale: f64,
-    /// RNG master seed (schedule, routing, service draws).
-    pub seed: u64,
-    /// Hint for the server's worker count, so balance statistics include
-    /// workers that served nothing.
-    pub workers_hint: usize,
-    /// Give up waiting for stragglers after this long past the last send.
-    pub drain_timeout: Duration,
-    /// `Some(interval)` records a client-side windowed latency series:
-    /// per-interval completion counts, latency histograms, and
-    /// per-worker load share, bucketed on the client's own clock from
-    /// each request's *scheduled* send time (same open-loop convention
-    /// as the scalar statistics). `None` skips the recording.
-    pub series_interval: Option<Duration>,
-}
-
-/// Measured outcome of one load-generator run.
+/// Measured outcome of one client run.
 #[derive(Debug, Clone)]
 pub struct LiveRunStats {
     /// End-to-end latency histogram over measured completions.
@@ -90,7 +56,7 @@ pub struct LiveRunStats {
     /// Jain fairness index over [`LiveRunStats::worker_completions`].
     pub load_balance_jain: f64,
     /// Client-side windowed latency series (present when
-    /// [`LoadgenConfig::series_interval`] was set): arrivals at
+    /// [`BalancerConfig::series_interval`] was set): arrivals at
     /// scheduled send times, completions with end-to-end latency at
     /// receive times, per-worker completion share as dispatch groups.
     pub series: Option<JobSeries>,
@@ -118,234 +84,103 @@ impl LiveRunStats {
     }
 }
 
-/// Per-reader accumulator, merged after the run.
-struct ReaderStats {
-    hist: LatencyHistogram,
-    received: u64,
-    worker_counts: Vec<u64>,
-    first_measured_ns: Option<u64>,
-    last_measured_ns: Option<u64>,
-    /// Windowed series, when enabled — per reader so the hot path stays
-    /// contention-free, index-aligned merged after the run.
-    series: Option<SeriesRecorder>,
+/// One request of a [`Schedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduledRequest {
+    /// Send-order id.
+    pub req_id: u64,
+    /// Scheduled send time, in ns since the client's epoch (the
+    /// open-loop latency origin).
+    pub sent_at_ns: u64,
+    /// Scaled service demand the worker must burn, in ns.
+    pub service_ns: u64,
+    /// The client flow (connection) the request rides on.
+    pub flow: usize,
 }
 
-/// Runs the load generator to completion against a live server.
+/// The open-loop request stream of one run: exponential inter-arrival
+/// gaps at the offered rate (RNG stream `(seed, 0)`), a uniformly drawn
+/// flow per request (`(seed, 1)`), and a service demand sampled from
+/// the profile and scaled (`(seed, 2)`).
 ///
-/// # Panics
-/// Panics on nonsensical configuration (0 requests/connections,
-/// non-positive rate, `warmup ≥ requests`).
-pub fn run_loadgen(cfg: &LoadgenConfig) -> io::Result<LiveRunStats> {
-    assert!(cfg.requests > 0, "need at least one request");
-    assert!(cfg.connections > 0, "need at least one connection");
-    assert!(
-        cfg.rate_rps > 0.0 && cfg.rate_rps.is_finite(),
-        "rate must be positive"
-    );
-    assert!(
-        cfg.warmup < cfg.requests,
-        "warmup ({}) must be below requests ({})",
-        cfg.warmup,
-        cfg.requests
-    );
+/// A pure function of the config — no clock, no sockets — so the exact
+/// stream a seed sends is pinned by test.
+#[derive(Debug, Clone)]
+pub struct Schedule {
+    arrival_rng: SmallRng,
+    route_rng: SmallRng,
+    service_rng: SmallRng,
+    service: ServiceDist,
+    scale: f64,
+    flows: usize,
+    mean_gap_ns: f64,
+    requests: u64,
+    next_id: u64,
+    next_send_ns: f64,
+    service_sum_ns: f64,
+}
 
-    let mut streams = Vec::with_capacity(cfg.connections);
-    for _ in 0..cfg.connections {
-        let stream = TcpStream::connect(cfg.addr)?;
-        stream.set_nodelay(true)?;
-        streams.push(stream);
-    }
-
-    let epoch = Instant::now();
-    let received_total = Arc::new(AtomicU64::new(0));
-
-    // One reader per connection; each owns its histogram so the hot path
-    // is contention-free, merged at the end.
-    let mut readers: Vec<JoinHandle<ReaderStats>> = Vec::with_capacity(cfg.connections);
-    for stream in &streams {
-        let mut read_half = stream.try_clone()?;
-        let received_total = Arc::clone(&received_total);
-        let warmup = cfg.warmup;
-        let workers_hint = cfg.workers_hint;
-        let series_interval = cfg.series_interval;
-        readers.push(
-            std::thread::Builder::new()
-                .name("loadgen-reader".to_owned())
-                .spawn(move || {
-                    let mut stats = ReaderStats {
-                        hist: LatencyHistogram::new(),
-                        received: 0,
-                        worker_counts: vec![0; workers_hint],
-                        first_measured_ns: None,
-                        last_measured_ns: None,
-                        series: series_interval.map(|interval| {
-                            let interval_ps =
-                                (interval.as_nanos() as u64).max(1).saturating_mul(1_000);
-                            SeriesRecorder::new(interval_ps, workers_hint.max(1), workers_hint.max(1))
-                        }),
-                    };
-                    while let Ok(Some(payload)) = read_frame(&mut read_half) {
-                        let Ok(resp) = Response::decode(&payload) else {
-                            break;
-                        };
-                        let now_ns = epoch.elapsed().as_nanos() as u64;
-                        stats.received += 1;
-                        received_total.fetch_add(1, Ordering::Relaxed);
-                        if resp.req_id >= warmup {
-                            let latency = now_ns.saturating_sub(resp.sent_at_ns);
-                            stats.hist.record(SimDuration::from_ns(latency));
-                            if let Some(rec) = stats.series.as_mut() {
-                                rec.note_arrival(resp.sent_at_ns.saturating_mul(1_000));
-                                rec.note_completion(
-                                    now_ns.saturating_mul(1_000),
-                                    latency.saturating_mul(1_000),
-                                    resp.worker as usize,
-                                );
-                            }
-                            // The worker id comes off the wire: cap it so
-                            // a corrupt frame can't demand a giant
-                            // allocation (latency still counts).
-                            let w = resp.worker as usize;
-                            if w < MAX_TRACKED_WORKERS {
-                                if w >= stats.worker_counts.len() {
-                                    stats.worker_counts.resize(w + 1, 0);
-                                }
-                                stats.worker_counts[w] += 1;
-                            }
-                            stats.first_measured_ns.get_or_insert(now_ns);
-                            stats.last_measured_ns = Some(now_ns);
-                        }
-                    }
-                    stats
-                })
-                .expect("spawn reader"),
-        );
-    }
-
-    // The open-loop sender: walk the Poisson schedule, never waiting for
-    // responses.
-    crate::reduce_timer_slack();
-    let mut arrival_rng = stream_rng(cfg.seed, 0);
-    let mut route_rng = stream_rng(cfg.seed, 1);
-    let mut service_rng = stream_rng(cfg.seed, 2);
-    let mean_gap_ns = 1e9 / cfg.rate_rps;
-    let mut next_send_ns = 0.0f64;
-    let mut service_sum_ns = 0.0f64;
-    let mut sent = 0u64;
-    for req_id in 0..cfg.requests {
-        let u: f64 = arrival_rng.gen();
-        next_send_ns += -mean_gap_ns * (1.0 - u).ln();
-        wait_until(epoch, next_send_ns as u64);
-        let service_ns = (cfg.service.sample_ns(&mut service_rng) * cfg.scale).max(0.0) as u64;
-        service_sum_ns += service_ns as f64;
-        let conn = route_rng.gen_range(0..cfg.connections);
-        let req = Request {
-            req_id,
-            sent_at_ns: next_send_ns as u64,
-            service_ns,
-        };
-        // A send failure means the server died; stop sending and report
-        // what came back.
-        if (&streams[conn]).write_all(&req.encode()).is_err() {
-            break;
+impl Schedule {
+    /// The schedule `cfg` sends.
+    pub fn new(cfg: &BalancerConfig) -> Schedule {
+        Schedule {
+            arrival_rng: stream_rng(cfg.seed, 0),
+            route_rng: stream_rng(cfg.seed, 1),
+            service_rng: stream_rng(cfg.seed, 2),
+            service: cfg.service.clone(),
+            scale: cfg.scale,
+            flows: cfg.flows,
+            mean_gap_ns: 1e9 / cfg.rate_rps,
+            requests: cfg.requests,
+            next_id: 0,
+            next_send_ns: 0.0,
+            service_sum_ns: 0.0,
         }
-        sent += 1;
     }
 
-    // Drain: wait for every response (or time out on stragglers).
-    let drain_deadline = Instant::now() + cfg.drain_timeout;
-    while received_total.load(Ordering::Relaxed) < sent && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let elapsed = epoch.elapsed();
-
-    // Close both halves so readers (ours and the server's) see EOF.
-    for stream in &streams {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    let mut hist = LatencyHistogram::new();
-    let mut worker_counts: Vec<u64> = vec![0; cfg.workers_hint];
-    let mut received = 0u64;
-    let mut first_ns: Option<u64> = None;
-    let mut last_ns: Option<u64> = None;
-    let mut merged_windows: Vec<SeriesWindow> = Vec::new();
-    for reader in readers {
-        let stats = reader.join().expect("reader thread");
-        hist.merge(&stats.hist);
-        if let Some(rec) = stats.series {
-            merged_windows = merge_series(&merged_windows, rec.windows());
-        }
-        received += stats.received;
-        if stats.worker_counts.len() > worker_counts.len() {
-            worker_counts.resize(stats.worker_counts.len(), 0);
-        }
-        for (w, &c) in stats.worker_counts.iter().enumerate() {
-            worker_counts[w] += c;
-        }
-        first_ns = match (first_ns, stats.first_measured_ns) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        last_ns = match (last_ns, stats.last_measured_ns) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    let measured = hist.count();
-    let window_ns = match (first_ns, last_ns) {
-        (Some(a), Some(b)) if b > a => (b - a) as f64,
-        _ => 0.0,
-    };
-    let throughput_rps = if window_ns > 0.0 && measured > 1 {
-        (measured - 1) as f64 / window_ns * 1e9
-    } else {
-        0.0
-    };
-    let (mean, p50, p99) = if measured > 0 {
-        (
-            hist.mean().as_ns_f64(),
-            hist.percentile(0.50).as_ns_f64(),
-            hist.percentile(0.99).as_ns_f64(),
-        )
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-    let counts_f64: Vec<f64> = worker_counts.iter().map(|&c| c as f64).collect();
-    Ok(LiveRunStats {
-        hist,
-        sent,
-        received,
-        measured,
-        elapsed,
-        throughput_rps,
-        mean_latency_ns: mean,
-        p50_latency_ns: p50,
-        p99_latency_ns: p99,
-        mean_service_ns: if sent > 0 {
-            service_sum_ns / sent as f64
+    /// Mean scaled service demand over the requests drawn so far (ns;
+    /// 0 before the first).
+    pub fn mean_service_ns(&self) -> f64 {
+        if self.next_id > 0 {
+            self.service_sum_ns / self.next_id as f64
         } else {
             0.0
-        },
-        load_balance_jain: jain_index(&counts_f64),
-        worker_completions: worker_counts,
-        series: cfg.series_interval.map(|_| JobSeries {
-            label: String::from("loadgen"),
-            cores: cfg.workers_hint.max(1) as u64,
-            groups: cfg.workers_hint.max(1) as u64,
-            windows: merged_windows,
-        }),
-    })
+        }
+    }
 }
 
-/// Sleeps until `epoch + target_ns`. Always sleeps — never spins — so
+impl Iterator for Schedule {
+    type Item = ScheduledRequest;
+
+    fn next(&mut self) -> Option<ScheduledRequest> {
+        if self.next_id >= self.requests {
+            return None;
+        }
+        let u: f64 = self.arrival_rng.gen();
+        self.next_send_ns += -self.mean_gap_ns * (1.0 - u).ln();
+        let service_ns =
+            (self.service.sample_ns(&mut self.service_rng) * self.scale).max(0.0) as u64;
+        self.service_sum_ns += service_ns as f64;
+        let flow = self.route_rng.gen_range(0..self.flows);
+        let req = ScheduledRequest {
+            req_id: self.next_id,
+            sent_at_ns: self.next_send_ns as u64,
+            service_ns,
+            flow,
+        };
+        self.next_id += 1;
+        Some(req)
+    }
+}
+
+/// Sleeps until `clock + target_ns`. Always sleeps — never spins — so
 /// the sender cannot starve workers and readers on a 1-CPU machine; the
 /// ~50 µs timer-slack oversleep this costs is an accepted send-jitter
 /// (the schedule is absolute, so lateness does not compound).
-fn wait_until(epoch: Instant, target_ns: u64) {
+pub(crate) fn wait_until(clock: Instant, target_ns: u64) {
     let target = Duration::from_nanos(target_ns);
     loop {
-        let now = epoch.elapsed();
+        let now = clock.elapsed();
         if now >= target {
             return;
         }

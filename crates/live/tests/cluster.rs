@@ -1,6 +1,7 @@
-//! End-to-end cluster runs: churn, drain, migration, and multi-process
-//! supervision, each proving the request-accounting invariant
-//! `completed + redirected + rejected == issued` with zero lost.
+//! End-to-end cluster runs: churn, drain, migration, multi-process
+//! supervision, and the traced single node, each proving the
+//! request-accounting invariant `completed + redirected + rejected ==
+//! issued` with zero lost.
 
 use std::sync::Mutex;
 
@@ -86,4 +87,34 @@ fn multi_process_cluster_drains_under_supervision() {
     acct.assert_balanced("multi-process drain test");
     assert_eq!(acct.lost(), 0);
     assert_eq!(outcome.node_stats.len(), 2);
+}
+
+#[test]
+fn single_node_run_traces_and_accounts_for_every_request() {
+    let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
+    // The default plan is one node: the single-server run, with the
+    // in-process trace ring on for its first 50 requests.
+    let config = LiveRunConfig::new(LivePolicy::SingleQueue)
+        .requests(300, 30)
+        .seed(7)
+        .trace_requests(50);
+    let outcome = run_cluster(&config).unwrap();
+    let acct = outcome.accounting;
+    acct.assert_balanced("traced single-node run");
+    assert_eq!(acct.issued, 300);
+    assert_eq!(outcome.node_stats.len(), 1);
+    assert!(!outcome.events.is_empty(), "the trace ring captured nothing");
+    // The client's mean service demand is the schedule's own, pinned
+    // bit for bit in tests/schedule.rs.
+    assert_eq!(outcome.stats.mean_service_ns.to_bits(), 0x4112_1460_7e4b_17e5);
+}
+
+#[test]
+fn tracing_a_multi_node_tier_is_rejected() {
+    // Trace sequence numbers are per server, so one capture cannot span
+    // nodes; the run is refused before any node starts.
+    let config = cluster_config(3, FailureMode::None, 300, 7).trace_requests(50);
+    assert!(config.validate().unwrap_err().contains("single node"));
+    let err = run_cluster(&config).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }

@@ -9,7 +9,8 @@
 
 use std::sync::Mutex;
 
-use live::{run_loopback, LivePolicy, LiveRunConfig};
+use live::cluster::run_cluster;
+use live::{LivePolicy, LiveRunConfig, LiveRunStats};
 
 /// Wall-clock runs must own the machine (the same reason the harness
 /// clamps live matrices to one worker thread): on a 1-CPU container,
@@ -17,6 +18,14 @@ use live::{run_loopback, LivePolicy, LiveRunConfig};
 /// inflate p99 several-fold. Each test holds this for its whole body so
 /// the harness's default parallelism can't interleave them.
 static MACHINE: Mutex<()> = Mutex::new(());
+
+/// One single-server run: a 1-node cluster, so the request accounting
+/// is checked on every run the assertions below read.
+fn run_single(config: &LiveRunConfig) -> LiveRunStats {
+    let outcome = run_cluster(config).unwrap();
+    outcome.accounting.assert_balanced("loopback test");
+    outcome.stats
+}
 
 fn spec(policy: LivePolicy, load: f64, requests: u64, seed: u64) -> LiveRunConfig {
     // The builder's defaults are exactly this test rig: 2 sleep-burn
@@ -34,8 +43,8 @@ fn single_queue_beats_rss_at_high_load() {
     let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
     let load = 0.85;
     let requests = 2_500;
-    let single = run_loopback(&spec(LivePolicy::SingleQueue, load, requests, 42)).unwrap();
-    let rss = run_loopback(&spec(LivePolicy::RssStatic, load, requests, 42)).unwrap();
+    let single = run_single(&spec(LivePolicy::SingleQueue, load, requests, 42));
+    let rss = run_single(&spec(LivePolicy::RssStatic, load, requests, 42));
 
     assert_eq!(single.received, single.sent, "single-queue run drained");
     assert_eq!(rss.received, rss.sent, "rss run drained");
@@ -69,8 +78,8 @@ fn replenish_drains_and_matches_single_queue_tail() {
     // box is noisy — one scheduling hiccup can double a tail. Allow two
     // retries of the pair; a real regime difference fails every attempt.
     for attempt in 0..3 {
-        let replenish = run_loopback(&spec(LivePolicy::Replenish, load, requests, 7)).unwrap();
-        let single = run_loopback(&spec(LivePolicy::SingleQueue, load, requests, 7)).unwrap();
+        let replenish = run_single(&spec(LivePolicy::Replenish, load, requests, 7));
+        let single = run_single(&spec(LivePolicy::SingleQueue, load, requests, 7));
 
         assert_eq!(replenish.received, replenish.sent, "replenish run drained");
         // Free-worker matching keeps both workers busy.
@@ -106,13 +115,12 @@ fn partitioned_sits_between_single_and_rss_in_drain_and_balance() {
     let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
     let load = 0.6;
     let requests = 1_200;
-    let part = run_loopback(&spec(
+    let part = run_single(&spec(
         LivePolicy::Partitioned { groups: 2 },
         load,
         requests,
         11,
-    ))
-    .unwrap();
+    ));
     assert_eq!(part.received, part.sent, "partitioned run drained");
     assert!(part.measured > 0);
     assert!(part.p50_latency_ns > 0.0);

@@ -201,9 +201,6 @@ pub struct SystemConfig {
     /// ignored for generation (the rate is still reported as offered
     /// load).
     pub schedule: Option<std::sync::Arc<RequestSchedule>>,
-    /// Window length for the completion time series (`None` disables).
-    /// Used to check stationarity of an operating point.
-    pub timeseries_window: Option<SimDuration>,
     /// Fixed-interval occupancy sampling cadence for the full
     /// [`telemetry::SeriesRecorder`] series (`None` disables). The
     /// sampler is driven off simulated time at the top of the event
@@ -267,7 +264,6 @@ impl SystemConfigBuilder {
                 preemption: None,
                 trace_capacity: 0,
                 schedule: None,
-                timeseries_window: None,
                 series_interval: None,
                 critical_threshold_ns: None,
                 rss_per_flow: false,
@@ -361,12 +357,6 @@ impl SystemConfigBuilder {
     /// [`SystemConfig::schedule`]).
     pub fn schedule(mut self, schedule: std::sync::Arc<RequestSchedule>) -> Self {
         self.config.schedule = Some(schedule);
-        self
-    }
-
-    /// Records a windowed completion time series with the given window.
-    pub fn timeseries_window(mut self, window: SimDuration) -> Self {
-        self.config.timeseries_window = Some(window);
         self
     }
 
@@ -486,10 +476,6 @@ pub struct RunResult {
     pub load_balance_jain: f64,
     /// Per-request timelines, when tracing was enabled.
     pub traces: TraceLog,
-    /// Windowed completion series, when enabled; its
-    /// [`drift_ratio`](metrics::TimeSeries::drift_ratio) ≫ 1 flags an
-    /// operating point that never reached steady state (overload).
-    pub timeseries: Option<metrics::TimeSeries>,
     /// Full fixed-interval telemetry series (windowed counters, latency
     /// histograms, core occupancy, queue depths), when
     /// [`SystemConfig::series_interval`] is set. Completions are
@@ -913,7 +899,6 @@ struct Runner<'a> {
     preemptions: u64,
     core_completions: Vec<u64>,
     traces: TraceLog,
-    timeseries: Option<metrics::TimeSeries>,
     /// Fixed-interval telemetry sampler state. The recorder is fed at
     /// the top of the event loop (never via engine events), so it is
     /// pure observation: every counter below tracks state the runner
@@ -1023,7 +1008,6 @@ impl<'a> Runner<'a> {
             preemptions: 0,
             core_completions: vec![0; chip.cores],
             traces: TraceLog::with_capacity(cfg.trace_capacity),
-            timeseries: cfg.timeseries_window.map(metrics::TimeSeries::new),
             series: cfg.series_interval.map(|interval| {
                 telemetry::SeriesRecorder::new(interval.as_ps(), chip.cores, series_groups(cfg))
             }),
@@ -1392,9 +1376,6 @@ impl<'a> Runner<'a> {
         if self.completions > self.cfg.warmup {
             let lat = now.duration_since(state.first_pkt);
             self.latency.record(lat);
-            if let Some(ts) = &mut self.timeseries {
-                ts.record(now, lat.as_ns_f64());
-            }
             self.scratch.latency_samples.push(lat.as_ns_f64());
             if let Some(threshold) = self.cfg.critical_threshold_ns {
                 if state.service.as_ns_f64() < threshold {
@@ -1609,7 +1590,6 @@ impl<'a> Runner<'a> {
             flow_control_deferrals: self.deferrals,
             preemptions: self.preemptions,
             traces: self.traces,
-            timeseries: self.timeseries,
             series: self.series.map(|recorder| {
                 recorder.into_job(
                     &self
@@ -1924,13 +1904,13 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_flags_overload_and_clears_steady_state() {
+    fn series_drift_flags_overload_and_clears_steady_state() {
         let steady = {
             let mut cfg = base(Policy::hw_single_queue(), 8.0e6, 41);
-            cfg.timeseries_window = Some(simkit::SimDuration::from_us(200));
+            cfg.series_interval = Some(simkit::SimDuration::from_us(200));
             ServerSim::new(cfg).run()
         };
-        let drift = steady.timeseries.as_ref().unwrap().drift_ratio().unwrap();
+        let drift = telemetry::drift_ratio(&steady.series.as_ref().unwrap().windows).unwrap();
         assert!(
             (0.7..1.4).contains(&drift),
             "40% load should be stationary, drift {drift}"
@@ -1942,15 +1922,10 @@ mod tests {
             let mut cfg = base(Policy::hw_single_queue(), 30.0e6, 41); // > capacity
             cfg.warmup = 100;
             cfg.send_slots_per_node = 4096; // flow control effectively off
-            cfg.timeseries_window = Some(simkit::SimDuration::from_us(100));
+            cfg.series_interval = Some(simkit::SimDuration::from_us(100));
             ServerSim::new(cfg).run()
         };
-        let drift = overloaded
-            .timeseries
-            .as_ref()
-            .unwrap()
-            .drift_ratio()
-            .unwrap();
+        let drift = telemetry::drift_ratio(&overloaded.series.as_ref().unwrap().windows).unwrap();
         assert!(drift > 1.5, "overload should drift upward, drift {drift}");
         // And throughput confirms saturation below the offered rate.
         assert!(overloaded.throughput_rps < 25.0e6);

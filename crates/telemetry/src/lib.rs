@@ -71,6 +71,6 @@ pub use summary::{
     COMPONENTS,
 };
 pub use timeseries::{
-    derive_series, digest_series, merge_series, resample, write_series_store, DerivedPoint,
+    derive_series, digest_series, drift_ratio, merge_series, resample, write_series_store, DerivedPoint,
     JobSeries, SeriesMeta, SeriesRecorder, SeriesStore, SeriesWindow, SERIES_VERSION,
 };

@@ -368,6 +368,27 @@ pub fn derive_series(windows: &[SeriesWindow], interval_ps: u64, cores: u64) -> 
         .collect()
 }
 
+/// Stationarity check over a window series: the mean latency of the
+/// last quarter of non-empty windows over that of the second quarter
+/// (the first quarter is treated as warm-up). Near 1 means the point
+/// reached steady state; ≫ 1 means latency was still climbing
+/// (overload). `None` with fewer than 8 non-empty windows.
+pub fn drift_ratio(windows: &[SeriesWindow]) -> Option<f64> {
+    let means: Vec<f64> = windows
+        .iter()
+        .filter(|w| w.completions > 0 && !w.latency.is_empty())
+        .map(|w| w.latency.mean().as_ns_f64())
+        .collect();
+    let n = means.len();
+    if n < 8 {
+        return None;
+    }
+    let quarter = n / 4;
+    let early = means[quarter..2 * quarter].iter().sum::<f64>() / quarter as f64;
+    let late = means[n - quarter..].iter().sum::<f64>() / quarter as f64;
+    (early > 0.0).then(|| late / early)
+}
+
 /// Merges two window series index-by-index (e.g. replications of the
 /// same point). Indices present in only one side pass through.
 pub fn merge_series(a: &[SeriesWindow], b: &[SeriesWindow]) -> Vec<SeriesWindow> {
@@ -755,6 +776,39 @@ mod tests {
             rec.sample(t, &[true, true, i % 2 == 0, false], &[1, 1], 2, 3);
         }
         rec
+    }
+
+    /// 32 one-µs windows with one completion each, the i-th at latency
+    /// `latency_ns(i)`.
+    fn one_completion_per_window(latency_ns: impl Fn(u64) -> u64) -> SeriesRecorder {
+        let mut rec = SeriesRecorder::new(1_000_000, 1, 1);
+        for i in 0..32u64 {
+            rec.note_completion(i * 1_000_000 + 500_000, latency_ns(i) * 1_000, 0);
+        }
+        rec
+    }
+
+    #[test]
+    fn stationary_series_has_unit_drift() {
+        let rec = one_completion_per_window(|_| 1_000);
+        let drift = drift_ratio(rec.windows()).unwrap();
+        assert!((drift - 1.0).abs() < 1e-9, "drift {drift}");
+    }
+
+    #[test]
+    fn climbing_series_has_high_drift() {
+        let rec = one_completion_per_window(|i| 100 * (i + 1));
+        let drift = drift_ratio(rec.windows()).unwrap();
+        assert!(drift > 2.0, "drift {drift} should flag the climb");
+    }
+
+    #[test]
+    fn too_few_windows_no_drift_verdict() {
+        let mut rec = SeriesRecorder::new(1_000_000, 1, 1);
+        rec.note_completion(100, 1_000, 0);
+        // Empty windows carry no latency and don't count.
+        rec.note_arrival(40_000_000);
+        assert_eq!(drift_ratio(rec.windows()), None);
     }
 
     #[test]
